@@ -51,7 +51,7 @@ pub mod thread {
     mod tests {
         #[test]
         fn scoped_threads_borrow_and_join() {
-            let data = vec![1u64, 2, 3, 4, 5, 6];
+            let data = [1u64, 2, 3, 4, 5, 6];
             let total: u64 = super::scope(|s| {
                 let handles: Vec<_> = data
                     .chunks(2)

@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use kg::synth::{movies, Scale};
-use kgextract::testgen::corpus_sentences;
+use kgextract::testgen::{corpus_sentences, entity_surface_forms};
 use kgrag::chunk::chunk_sentences;
 use kgrag::pipeline::{RagMode, RagPipeline};
 use kgrag::vector::VectorIndex;
@@ -33,6 +33,15 @@ fn bench_rag(c: &mut Criterion) {
     let evidence = EvidenceIndex::from_sentences(sentences.iter().map(String::as_str));
     c.bench_function("rag/evidence_retrieve", |b| {
         b.iter(|| black_box(evidence.retrieve("who directed the film", 8)))
+    });
+    // short lookups (`Slm::knows`/`verify` on unknown or rare facts): a
+    // claim with no indexed word, and an entity name few sentences post
+    c.bench_function("rag/evidence_unknown_claim", |b| {
+        b.iter(|| black_box(evidence.verified_support("zorblax quintessa flumboid")))
+    });
+    let rare = entity_surface_forms(&kg.graph).swap_remove(0);
+    c.bench_function("rag/evidence_rare_word", |b| {
+        b.iter(|| black_box(evidence.verified_support(&rare)))
     });
 
     let chunks = chunk_sentences(&sentences.join(". "), 3, 1);

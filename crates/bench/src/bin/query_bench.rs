@@ -362,7 +362,6 @@ fn encoded_join_series(smoke: bool) -> Value {
         n_triples: if smoke { 30_000 } else { 1_200_000 },
         zipf_exponent: 0.6,
         with_labels: false,
-        ..FreebaseLikeConfig::default()
     };
     let fb = kg::synth::freebase_like(7, &config).expect("freebase_like generates");
     let source = fb.graph;

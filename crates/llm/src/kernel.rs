@@ -611,7 +611,7 @@ mod tests {
         a[3] = f32::NAN;
         a[70] = f32::INFINITY;
         let rows = vecs(6, 3, dim);
-        let mut want = vec![0.0f32; 2 * 3];
+        let mut want = [0.0f32; 2 * 3];
         for qi in 0..2 {
             for r in 0..3 {
                 want[qi * 3 + r] =

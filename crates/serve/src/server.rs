@@ -76,12 +76,6 @@ pub struct ServeConfig {
     /// into the served graph before the first connection is accepted,
     /// and a checkpoint is written on clean shutdown.
     pub durable: Option<DurableStore>,
-    /// Retrieval request coalescing: concurrent `rag` requests whose
-    /// vector searches land within one time/size window are serviced by
-    /// a single batched kernel pass (see `docs/serving.md`). Results are
-    /// bit-identical to uncoalesced retrieval; the window's `max_wait`
-    /// bounds the added latency. `None` disables coalescing.
-    pub coalescing: Option<kgrag::BatchWindow>,
 }
 
 impl Default for ServeConfig {
@@ -93,7 +87,6 @@ impl Default for ServeConfig {
             workbench: WorkbenchConfig::default(),
             poll_interval: Duration::from_millis(50),
             durable: None,
-            coalescing: Some(kgrag::BatchWindow::default()),
         }
     }
 }
@@ -195,14 +188,10 @@ fn run(
         // the synthetic graph from the first request.
         wb.kg.graph.merge(d.graph());
     }
-    let mut engine = match durable {
+    let engine = match durable {
         Some(d) => Engine::new(&wb).with_durable(d),
         None => Engine::new(&wb),
     };
-    if let Some(window) = config.coalescing {
-        engine = engine.with_coalescing(window);
-    }
-    let engine = engine;
     let admission = AdmissionController::<Job>::new(config.admission);
     let inflight = AtomicU64::new(0);
 

@@ -14,10 +14,7 @@ fn shared_server_state_is_send_and_sync() {
     // worker through the engine: it must be Sync.
     assert_send_sync::<llmkg::Workbench>();
     // The engine itself is handed to workers as `&Engine`.
-    fn engine_is_shareable<'a>() {
-        assert_send_sync::<serve::Engine<'a>>();
-    }
-    engine_is_shareable();
+    assert_send_sync::<serve::Engine<'_>>();
     // The admission queue is the cross-thread rendezvous.
     assert_send_sync::<serve::AdmissionController<String>>();
     // Resilience primitives travel with jobs between threads.
@@ -34,14 +31,8 @@ fn shared_server_state_is_send_and_sync() {
 fn borrowed_pipelines_are_shareable() {
     // Workers answer RAG requests through one shared `&RagPipeline`;
     // chatbots are built per request and may move to a worker thread.
-    fn rag_is_shareable<'a>() {
-        assert_send_sync::<kgrag::RagPipeline<'a>>();
-    }
-    fn chatbot_is_sendable<'a>() {
-        assert_send::<kgqa::chatbot::ChatBot<'a>>();
-    }
-    rag_is_shareable();
-    chatbot_is_sendable();
+    assert_send_sync::<kgrag::RagPipeline<'_>>();
+    assert_send::<kgqa::chatbot::ChatBot<'_>>();
 }
 
 #[test]
